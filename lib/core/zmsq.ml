@@ -25,9 +25,6 @@ type counters = Zmsq_core.counters = {
   buf_flushes : int;
   buf_claims : int;
   orphan_reclaims : int;
-  ring_pushes : int;
-  ring_fallbacks : int;
-  ring_drained : int;
 }
 
 type lifecycle = Zmsq_core.lifecycle = Open | Draining | Closed
@@ -38,8 +35,6 @@ exception Queue_closed = Zmsq_core.Queue_closed
 module type S = Zmsq_core.S
 module type S_FAMILY = Zmsq_core.S_FAMILY
 module type SHARDED = Zmsq_shard.SHARDED
-
-module Ring = Zmsq_ring
 
 module Make_prim = Zmsq_core.Make_prim
 module Make = Zmsq_core.Make

@@ -3,9 +3,7 @@
 
     The suite runs a pinned subset of the registry's shapes — fig5a
     throughput, the fig4 blocking handoff, the insert-buffer experiment,
-    the sharded insert-heavy gate and the FAA ingress-ring insert gate
-    (floor-limited, so rerouting inserts off the lock-free path fails
-    even against a fresh baseline) — plus a single-thread roofline (ZMSQ
+    and the sharded insert-heavy gate — plus a single-thread roofline (ZMSQ
     vs {!Zmsq_pq.Binary_heap} pair latency, gated as a
     machine-independent ratio) and the full-observability overhead
     measurement. Results are compared against

@@ -33,9 +33,6 @@ type kind =
   | Shard_select
       (** a sharded queue's routing decision ([arg] = the chosen shard):
           a sticky-insert re-roll or a two-choice extraction pick *)
-  | Ring_flush
-      (** an ingress-ring drain published into the tree ([arg] = elements
-          drained across all staging nodes in the pass) *)
   | Accept
       (** the server front-end accepted a connection ([arg] = live
           connection count after the accept) *)

@@ -416,9 +416,5 @@ end = struct
     tick ();
     P.cpu_relax ()
 
-  let stall_backoff () =
-    tick ();
-    P.stall_backoff ()
-
   let name = "faulty(" ^ P.name ^ ")"
 end

@@ -243,10 +243,14 @@ let test_retry_budgets () =
 module SQ = Zmsq.Shard.Default
 module Srv = Server.Make (SQ)
 
-let with_server ?config k =
+(* [buffer_len > 0] stages each connection's inserts in its handle's
+   buffer, so the server's one flush per batch RPC is the only thing that
+   publishes them. *)
+let with_server ?config ?(buffer_len = 0) k =
   let q =
     SQ.create
-      ~params:{ Zmsq.Params.default with blocking = true; shards = 2; stickiness = 4 }
+      ~params:
+        { Zmsq.Params.default with blocking = true; shards = 2; stickiness = 4; buffer_len }
       ()
   in
   let srv =
@@ -434,22 +438,27 @@ let test_server_bad_frame_kills_conn () =
       Unix.close fd2;
       Client.close c)
 
-let test_server_graceful_drain () =
-  with_server (fun q srv ->
+let test_server_graceful_drain ~buffer_len () =
+  with_server ~buffer_len (fun q srv ->
       let c = Client.connect (Srv.sockaddr srv) in
       let n = 500 in
       let elts = Array.init n (fun i -> Elt.pack ~priority:(i land 1023) ~payload:i) in
-      Array.iteri
-        (fun i _ ->
-          if i mod 100 = 0 then
-            match
-              call_ok c
-                (Protocol.Insert
-                   { budget_ns = 1_000_000_000; elts = Array.sub elts i 100 })
-            with
-            | Protocol.Inserted 100 -> ()
-            | r -> Alcotest.failf "insert answered %s" (Protocol.resp_name r))
-        elts;
+      (* The server flushes the connection's handle once per insert RPC, so
+         an answered insert has left nothing staged — even the one-element
+         first RPC, which a fresh buffered handle would otherwise hold back
+         below its fill threshold. *)
+      List.fold_left
+        (fun off len ->
+          (match
+             call_ok c
+               (Protocol.Insert { budget_ns = 1_000_000_000; elts = Array.sub elts off len })
+           with
+          | Protocol.Inserted k when k = len -> ()
+          | r -> Alcotest.failf "insert answered %s" (Protocol.resp_name r));
+          checki "insert RPC published everything" 0 (SQ.Debug.buffered q);
+          off + len)
+        0 [ 1; 99; 100; 100; 100; 100 ]
+      |> checki "all elements sent" n;
       (* Take some over the wire, leave the rest for the drain. *)
       let taken = ref 0 in
       (match call_ok c (Protocol.Extract { budget_ns = 100_000_000; max_n = 128 }) with
@@ -484,8 +493,8 @@ let test_server_graceful_drain () =
             (geti "elts_extracted" + geti "elts_drained_shutdown")
       | _ -> Alcotest.fail "stats json malformed")
 
-let test_server_abrupt_disconnect_reclaims () =
-  with_server (fun q srv ->
+let test_server_abrupt_disconnect_reclaims ~buffer_len () =
+  with_server ~buffer_len (fun q srv ->
       (* Kill a connection mid-frame: the server must orphan its handle
          and reclaim it (staged inserts publish, hazard slot frees). *)
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -516,7 +525,10 @@ let test_server_abrupt_disconnect_reclaims () =
       | Protocol.Elements [| e |] -> checki "the orphan's element" 3 (Elt.priority e)
       | r -> Alcotest.failf "extract answered %s" (Protocol.resp_name r));
       Client.close c;
-      ignore q)
+      Srv.shutdown srv;
+      checki "nothing drained at shutdown" 0 (Srv.drained_at_shutdown srv);
+      checki "no handle leaked" 0 (SQ.Debug.live_handles q);
+      checki "nothing left staged" 0 (SQ.Debug.buffered q))
 
 let suite =
   [
@@ -532,6 +544,10 @@ let suite =
     ("server shed ladder", `Slow, test_server_shed_ladder);
     ("server pipelined FIFO + throttle", `Slow, test_server_pipelined_fifo_throttle);
     ("server survives bad frames", `Slow, test_server_bad_frame_kills_conn);
-    ("server graceful drain", `Slow, test_server_graceful_drain);
-    ("server reclaims abrupt disconnect", `Slow, test_server_abrupt_disconnect_reclaims);
+    ("server graceful drain", `Slow, test_server_graceful_drain ~buffer_len:0);
+    ("server graceful drain buffered", `Slow, test_server_graceful_drain ~buffer_len:8);
+    ("server reclaims abrupt disconnect", `Slow, test_server_abrupt_disconnect_reclaims ~buffer_len:0);
+    ( "server reclaims abrupt disconnect buffered",
+      `Slow,
+      test_server_abrupt_disconnect_reclaims ~buffer_len:8 );
   ]

@@ -1,8 +1,8 @@
 (* Smoke-scale soak: a fixed-seed ~2.4 s run of every phase with every
    fault knob enabled (injected trylock failures, delayed-then-reposted
    wakes, spurious timeouts, FAA/exchange stalls, a frozen producer, a
-   producer crash without unregister, handle churn to slot exhaustion,
-   and ring ingress under FAA-window stalls) against the buffered +
+   producer crash without unregister, and handle churn to slot
+   exhaustion) against the buffered +
    blocking queue. The watchdogs —
    conservation, staleness, the zero-budget final-poll probe, the
    one-shot starvation contract and the handle-registry leak check —
