@@ -37,6 +37,7 @@ let latency_tests () =
   let queues =
     [
       ("zmsq", Zmsq_harness.Instances.zmsq ());
+      ("zmsq-list", Zmsq_harness.Instances.zmsq_list ());
       ("zmsq-array", Zmsq_harness.Instances.zmsq_array ());
       ("zmsq-lazy", Zmsq_harness.Instances.zmsq_lazy ());
       ("zmsq-leak", Zmsq_harness.Instances.zmsq_leak ());

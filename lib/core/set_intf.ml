@@ -2,9 +2,10 @@
 
     A TNode's set is only touched while the node's lock is held, so
     implementations are sequential. The paper evaluates two: a sorted
-    singly-linked list (the default, mirroring the mound) and an unsorted
+    singly-linked list (its default, mirroring the mound) and an unsorted
     fixed array (the "(array)" curves, trading ordered access for locality
-    and allocation-free operation). *)
+    and allocation-free operation). The shipped default, [Sorted_set],
+    keeps the list's order in a flat array and so has both. *)
 
 module Elt = Zmsq_pq.Elt
 

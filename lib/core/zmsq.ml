@@ -9,6 +9,7 @@
 module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
+module Sorted_set = Sorted_set
 module Array_set = Array_set
 module Lazy_set = Lazy_set
 
@@ -39,6 +40,7 @@ module type SHARDED = Zmsq_shard.SHARDED
 module Make_prim = Zmsq_core.Make_prim
 module Make = Zmsq_core.Make
 module Default = Zmsq_core.Default
+module List_q = Zmsq_core.List_q
 module Array_q = Zmsq_core.Array_q
 module Lazy_q = Zmsq_core.Lazy_q
 module Tas_q = Zmsq_core.Tas_q

@@ -32,8 +32,8 @@
       [params.leaky] is set (the paper's "leak" comparison mode).
 
     The functor is parameterized by the per-node lock (Section 4.1 compares
-    mutex/TAS/TATAS) and the per-node set representation (sorted list vs
-    unsorted array — the "(array)" curves). *)
+    mutex/TAS/TATAS) and the per-node set representation (sorted list,
+    sorted flat array, or unsorted array — the "(array)" curves). *)
 
 (** Re-exports: the library's entry module is [Zmsq], so sibling modules
     are reached as [Zmsq.Params] etc. *)
@@ -41,6 +41,7 @@
 module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
+module Sorted_set = Sorted_set
 module Array_set = Array_set
 module Lazy_set = Lazy_set
 
@@ -281,7 +282,16 @@ module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : S_FAMILY
 (** [Make_prim] applied to the native primitives ({!Zmsq_prim.Native}). *)
 
 module Default : S
-(** TATAS trylocks + sorted-list sets — the paper's default configuration. *)
+(** TATAS trylocks + {!Sorted_set}: the paper's default configuration
+    (sorted TNode sets) with each set kept as an ascending flat array
+    instead of list cells, so the insert, min-swap and extract paths
+    allocate nothing per element. It makes the same decisions as
+    {!List_q} and, for a single handle and seed, returns the same extract
+    sequence. *)
+
+module List_q : S
+(** TATAS trylocks + sorted-list sets — the paper's literal TNode set,
+    kept as the list-vs-array ablation of Figures 3 and 5. *)
 
 module Array_q : S
 (** TATAS trylocks + unsorted-array sets — the "(array)" curves. *)
@@ -354,5 +364,6 @@ module Shard : sig
   module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : SHARDED
 
   module Default : SHARDED
-  (** TATAS trylocks + sorted-list sets. *)
+  (** TATAS trylocks + {!Sorted_set} sets, as the single queue's
+      {!Default}. *)
 end

@@ -3,6 +3,7 @@
 module Params = Params
 module Set_intf = Set_intf
 module List_set = List_set
+module Sorted_set = Sorted_set
 module Array_set = Array_set
 module Lazy_set = Lazy_set
 module Rng = Zmsq_util.Rng
@@ -546,17 +547,17 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
 
   (* Optimistic access to a node: publish a hazard pointer and re-validate,
      exactly the acquire pattern a non-GC runtime needs (Section 3.5). In
-     leaky mode this collapses to a plain read. *)
+     leaky mode this collapses to a plain read. The retry loop is its own
+     top-level function so a probe allocates no closure. *)
+  let rec protect_retry q th hpslot level slot =
+    let n = node_at q level slot in
+    Hazard.set th ~slot:hpslot n;
+    if node_at q level slot == n then n else protect_retry q th hpslot level slot
+
   let protect_node h ~hpslot level slot =
     match h.hp_thread with
     | None -> node_at h.q level slot
-    | Some th ->
-        let rec go () =
-          let n = node_at h.q level slot in
-          Hazard.set th ~slot:hpslot n;
-          if node_at h.q level slot == n then n else go ()
-        in
-        go ()
+    | Some th -> protect_retry h.q th hpslot level slot
 
   let expand q observed_leaf =
     Mutex.lock q.expand_mu;
@@ -587,44 +588,53 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
      is <= e (then binary-search the root path), or — below the top
      [forced_min_level] levels — a leaf with room for [room] more elements
      that can absorb them in non-head positions. [room = 1] for a single
-     insertion; bulk buffer flushes pass the buffer occupancy. *)
+     insertion; bulk buffer flushes pass the buffer occupancy.
+
+     The hot path allocates nothing here: a position is packed into one
+     int, [(slot lsl 7) lor (leaf lsl 1) lor forced] (six bits hold a
+     leaf level, which stays below [max_levels]), and decoded by
+     [pos_leaf], [pos_slot] and [pos_forced]. [probe_leaves] returns [-1]
+     when every probe failed. *)
+  let pos_leaf p = (p lsr 1) land 63
+  let pos_slot p = p lsr 7
+  let pos_forced p = p land 1 = 1
+
+  let rec probe_leaves ~room h e leaf i =
+    if i >= max leaf 1 then -1
+    else begin
+      let q = h.q in
+      let slot = Rng.int h.rng (1 lsl leaf) in
+      let node = protect_node h ~hpslot:0 leaf slot in
+      if Atomic.get node.max <= e then (slot lsl 7) lor (leaf lsl 1)
+      else if
+        q.params.forced_insert
+        && leaf > q.params.forced_min_level
+        && Atomic.get node.count + room <= q.params.target_len
+      then (slot lsl 7) lor (leaf lsl 1) lor 1
+      else probe_leaves ~room h e leaf (i + 1)
+    end
+
   let rec select_position ~room h e =
-    let q = h.q in
-    let leaf = Atomic.get q.leaf_level in
-    let width = 1 lsl leaf in
-    let attempts = max leaf 1 in
-    let rec probe i =
-      if i >= attempts then None
-      else begin
-        let slot = Rng.int h.rng width in
-        let node = protect_node h ~hpslot:0 leaf slot in
-        if Atomic.get node.max <= e then Some (slot, false)
-        else if
-          q.params.forced_insert
-          && leaf > q.params.forced_min_level
-          && Atomic.get node.count + room <= q.params.target_len
-        then Some (slot, true)
-        else probe (i + 1)
-      end
-    in
-    match probe 0 with
-    | Some (slot, force) -> (leaf, slot, force)
-    | None ->
-        expand q leaf;
-        select_position ~room h e
+    let leaf = Atomic.get h.q.leaf_level in
+    let p = probe_leaves ~room h e leaf 0 in
+    if p >= 0 then p
+    else begin
+      expand h.q leaf;
+      select_position ~room h e
+    end
 
   (* Binary search over the path from [(leaf, slot)] to the root for the
      shallowest ancestor whose max is <= e; its parent's max exceeds e.
+     Returns that ancestor's level; its slot is [slot lsr (leaf - level)].
      Reads are optimistic; the caller re-validates under locks. *)
   let search_position h leaf slot e =
-    let anc l = slot lsr (leaf - l) in
     let lo = ref 0 and hi = ref leaf in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      let n = protect_node h ~hpslot:0 mid (anc mid) in
+      let n = protect_node h ~hpslot:0 mid (slot lsr (leaf - mid)) in
       if Atomic.get n.max <= e then hi := mid else lo := mid + 1
     done;
-    (!hi, anc !hi)
+    !hi
 
   let forced_insert_at q node e =
     if not (acquire_policy q node.lock) then false
@@ -777,36 +787,35 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       else Elt.none
     end
 
+  (* Place [e] in the tree, retrying until an attempt wins its locks;
+     [true] when any attempt failed. A top-level loop, so an insert
+     allocates no closure. *)
+  let rec insert_attempts h e retried =
+    let q = h.q in
+    let pos = select_position ~room:1 h e in
+    let leaf = pos_leaf pos and slot = pos_slot pos in
+    let ok =
+      if pos_forced pos then forced_insert_at q (protect_node h ~hpslot:0 leaf slot) e
+      else begin
+        let level = search_position h leaf slot e in
+        regular_insert h level (slot lsr (leaf - level)) e
+      end
+    in
+    if ok then retried
+    else begin
+      tick q q.mc.c_retries;
+      insert_attempts h e true
+    end
+
   (* The caller has already counted [e] into [size] (see [admit]):
      extraction spins rather than reporting a false empty while an insert
      is in flight. *)
   let insert_aux h e =
     let q = h.q in
     let e = match try_pool_displace q e with v when Elt.is_none v -> e | displaced -> displaced in
-    let retried = ref false in
-    let rec attempt () =
-      let leaf, slot, force = select_position ~room:1 h e in
-      if force then begin
-        let node = protect_node h ~hpslot:0 leaf slot in
-        if not (forced_insert_at q node e) then begin
-          retried := true;
-          tick q q.mc.c_retries;
-          attempt ()
-        end
-      end
-      else begin
-        let ilevel, islot = search_position h leaf slot e in
-        if not (regular_insert h ilevel islot e) then begin
-          retried := true;
-          tick q q.mc.c_retries;
-          attempt ()
-        end
-      end
-    in
-    attempt ();
     (* Contention hint for layers above (sticky shard routing re-rolls on
        it); handle-private, refreshed by every tree publication. *)
-    Plain.set h.contended !retried;
+    Plain.set h.contended (insert_attempts h e false);
     match q.ec with None -> () | Some ec -> Eventcount.signal_after_insert ec
 
   (* {2 Per-domain insert buffering (DESIGN.md "Operation buffering")}
@@ -932,12 +941,14 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       ignore (Atomic.fetch_and_add q.size n);
       let fails = ref 0 in
       let rec attempt () =
-        let leaf, slot, force = select_position ~room:n h bmax in
+        let pos = select_position ~room:n h bmax in
+        let leaf = pos_leaf pos and slot = pos_slot pos in
         let ok =
-          if force then bulk_forced_insert_at q (protect_node h ~hpslot:0 leaf slot) h.buf n
+          if pos_forced pos then
+            bulk_forced_insert_at q (protect_node h ~hpslot:0 leaf slot) h.buf n
           else begin
-            let ilevel, islot = search_position h leaf slot bmax in
-            bulk_regular_insert h ilevel islot h.buf n
+            let level = search_position h leaf slot bmax in
+            bulk_regular_insert h level (slot lsr (leaf - level)) h.buf n
           end
         in
         if not ok then begin
@@ -1306,69 +1317,71 @@ module Make_prim (P : Zmsq_prim.Intf.PRIM) (L : Zmsq_sync.Lock.S) (Set : Set_int
       else Elt.none
     end
 
+  (* Reporting empty must be *conclusive*, not just consistent with the
+     reads made so far: a blocking extractor that receives [none] burns
+     the eventcount ticket it took for this attempt. A buffer flush
+     migrates its batch from [buffered] into [size] ([size] is bumped
+     strictly before [buffered] drops), so the element is visible to
+     *some* counter at every instant — but our size-then-buffered read
+     order can straddle the migration and see zero twice. Re-reading
+     [size] after the [buffered] decision (the [Atomic.get q.size = 0]
+     tests below) catches any element that moved: still zero means every
+     element accepted before this call is either extracted or staged in a
+     buffer whose flush will signal later. A top-level loop, so an
+     extraction allocates no closure. *)
+  let rec extract_loop h q =
+    let v = extract_from_pool q in
+    if not (Elt.is_none v) then extract_found q v
+    else begin
+      let v = extract_pool h in
+      if not (Elt.is_none v) then extract_found q v
+      else if Atomic.get q.size = 0 then
+        if q.buffer_on && Plain.get h.buf_n > 0 then begin
+          (* The published structure is drained but our own backlog is
+             not: publish it and retry, so extract still succeeds on a
+             queue this handle knows to be nonempty. *)
+          bulk_flush h Drain;
+          extract_loop h q
+        end
+        else if q.buffer_on && Atomic.get q.buffered > 0 then begin
+          (* Elements are staged in other domains' buffers, out of our
+             reach. If any of those handles is orphaned — its producer
+             crashed without unregistering — scavenge it right here and
+             retry: the piggybacked reclaim is what keeps a dead
+             producer's backlog from being stranded forever. Otherwise
+             demand a flush from the live producers (honored at their
+             next operation and signalled through the eventcount) and
+             report empty — emptiness is exact w.r.t. published
+             elements. *)
+          if reclaim_orphans q > 0 then extract_loop h q
+          else begin
+            Atomic.set q.flush_demand true;
+            if Atomic.get q.size = 0 then Elt.none else extract_loop h q
+          end
+        end
+        else begin
+          (* Exactly empty (nothing published, nothing staged): if a
+             drain is in progress this very observation completes it. *)
+          if Atomic.get q.state = st_draining then ignore (try_finish_drain q);
+          if Atomic.get q.size = 0 then Elt.none else extract_loop h q
+        end
+      else begin
+        P.cpu_relax ();
+        extract_loop h q
+      end
+    end
+
+  and extract_found q v =
+    Atomic.decr q.size;
+    v
+
   let extract_aux h =
     let q = h.q in
-    (* Reporting empty must be *conclusive*, not just consistent with the
-       reads made so far: a blocking extractor that receives [none] burns
-       the eventcount ticket it took for this attempt. A buffer flush
-       migrates its batch from [buffered] into [size] ([size] is bumped
-       strictly before [buffered] drops), so the element is visible to
-       *some* counter at every instant — but our size-then-buffered read
-       order can straddle the migration and see zero twice. Re-reading
-       [size] after the [buffered] decision catches any element that moved:
-       still zero means every element accepted before this call is either
-       extracted or staged in a buffer whose flush will signal later. *)
-    let conclusively_empty () = Atomic.get q.size = 0 in
-    let rec loop () =
-      let v = extract_from_pool q in
-      if not (Elt.is_none v) then finish v
-      else begin
-        let v = extract_pool h in
-        if not (Elt.is_none v) then finish v
-        else if Atomic.get q.size = 0 then
-          if q.buffer_on && Plain.get h.buf_n > 0 then begin
-            (* The published structure is drained but our own backlog is
-               not: publish it and retry, so extract still succeeds on a
-               queue this handle knows to be nonempty. *)
-            bulk_flush h Drain;
-            loop ()
-          end
-          else if q.buffer_on && Atomic.get q.buffered > 0 then begin
-            (* Elements are staged in other domains' buffers, out of our
-               reach. If any of those handles is orphaned — its producer
-               crashed without unregistering — scavenge it right here and
-               retry: the piggybacked reclaim is what keeps a dead
-               producer's backlog from being stranded forever. Otherwise
-               demand a flush from the live producers (honored at their
-               next operation and signalled through the eventcount) and
-               report empty — emptiness is exact w.r.t. published
-               elements. *)
-            if reclaim_orphans q > 0 then loop ()
-            else begin
-              Atomic.set q.flush_demand true;
-              if conclusively_empty () then Elt.none else loop ()
-            end
-          end
-          else begin
-            (* Exactly empty (nothing published, nothing staged): if a
-               drain is in progress this very observation completes it. *)
-            if Atomic.get q.state = st_draining then ignore (try_finish_drain q);
-            if conclusively_empty () then Elt.none else loop ()
-          end
-        else begin
-          P.cpu_relax ();
-          loop ()
-        end
-      end
-    and finish v =
-      Atomic.decr q.size;
-      v
-    in
     if q.buffer_on then begin
       let v = try_buf_claim h in
-      if not (Elt.is_none v) then v else loop ()
+      if not (Elt.is_none v) then v else extract_loop h q
     end
-    else loop ()
+    else extract_loop h q
 
   let extract h =
     ensure_owner h "Zmsq.extract";
@@ -1669,7 +1682,8 @@ end
 module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : S_FAMILY =
   Make_prim (Zmsq_prim.Native) (L) (Set)
 
-module Default = Make (Zmsq_sync.Lock.Tatas) (List_set)
+module Default = Make (Zmsq_sync.Lock.Tatas) (Sorted_set)
+module List_q = Make (Zmsq_sync.Lock.Tatas) (List_set)
 module Array_q = Make (Zmsq_sync.Lock.Tatas) (Array_set)
 module Lazy_q = Make (Zmsq_sync.Lock.Tatas) (Lazy_set)
 module Tas_q = Make (Zmsq_sync.Lock.Tas) (List_set)

@@ -603,4 +603,4 @@ end
 module Make (L : Zmsq_sync.Lock.S) (Set : Set_intf.SET) : SHARDED =
   Make_prim (Zmsq_prim.Native) (L) (Set)
 
-module Default = Make (Zmsq_sync.Lock.Tatas) (List_set)
+module Default = Make (Zmsq_sync.Lock.Tatas) (Sorted_set)

@@ -20,11 +20,12 @@ let row_f label values = label :: List.map Table.cell_f values
 
 (* {2 Figure 2 — lock implementations} *)
 
+(* All three on sorted-list sets, so the columns differ only in the lock. *)
 let lock_factories params =
   [
     ("mutex", Instances.zmsq_mutex ~params ());
     ("tas", Instances.zmsq_tas ~params ());
-    ("tatas", Instances.zmsq ~params ());
+    ("tatas", Instances.zmsq_list ~params ());
   ]
 
 let fig2 ~insert_permil ~preload ~id ~title () =
@@ -229,6 +230,7 @@ let fig5_queues () =
     ("spraylist", Instances.spraylist);
     ("mound", Instances.mound);
     ("zmsq", Instances.zmsq ~params ());
+    ("zmsq(list)", Instances.zmsq_list ~params ());
     ("zmsq(array)", Instances.zmsq_array ~params ());
     ("zmsq(leak)", Instances.zmsq_leak ~params ());
   ]
@@ -499,7 +501,8 @@ let ablation_variants =
 (* Set-representation ablation rows run against the same spec. *)
 let set_variants =
   [
-    ("set=list", fun params -> Instances.zmsq ~params ());
+    ("set=sorted", fun params -> Instances.zmsq ~params ());
+    ("set=list", fun params -> Instances.zmsq_list ~params ());
     ("set=lazy-list", fun params -> Instances.zmsq_lazy ~params ());
     ("set=array", fun params -> Instances.zmsq_array ~params ());
   ]
@@ -732,7 +735,7 @@ let mem () =
   let name, words, depth =
     measure "zmsq(list)"
       (fun () ->
-        let module Q = Zmsq.Default in
+        let module Q = Zmsq.List_q in
         let q = Q.create ~params:P.(default |> with_batch 48 |> with_target_len 72) () in
         let h = Q.register q in
         Array.iter (fun k -> Q.insert h (Zmsq_pq.Elt.of_priority k)) preload_keys;

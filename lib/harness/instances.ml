@@ -5,6 +5,9 @@ type factory = unit -> Intf.instance
 let zmsq ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Default) (Zmsq.Default.create ~params ())
 
+let zmsq_list ?(params = Zmsq.Params.default) () () =
+  Intf.pack (module Zmsq.List_q) (Zmsq.List_q.create ~params ())
+
 let zmsq_array ?(params = Zmsq.Params.default) () () =
   Intf.pack (module Zmsq.Array_q) (Zmsq.Array_q.create ~params ())
 
@@ -38,11 +41,12 @@ let klsm ?(k = 256) () () = Intf.pack (module Zmsq_klsm.Klsm) (Zmsq_klsm.Klsm.cr
 let locked_heap () = Intf.pack (module Zmsq_pq.Locked_heap) (Zmsq_pq.Locked_heap.create ())
 
 let names =
-  [ "zmsq"; "zmsq-array"; "zmsq-lazy"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex"; "zmsq-shard";
-    "mound"; "spraylist"; "multiqueue"; "klsm"; "locked-heap" ]
+  [ "zmsq"; "zmsq-list"; "zmsq-array"; "zmsq-lazy"; "zmsq-leak"; "zmsq-tas"; "zmsq-mutex";
+    "zmsq-shard"; "mound"; "spraylist"; "multiqueue"; "klsm"; "locked-heap" ]
 
 let by_name = function
   | "zmsq" -> zmsq ()
+  | "zmsq-list" -> zmsq_list ()
   | "zmsq-array" -> zmsq_array ()
   | "zmsq-lazy" -> zmsq_lazy ()
   | "zmsq-leak" -> zmsq_leak ()

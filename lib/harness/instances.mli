@@ -6,7 +6,12 @@
 type factory = unit -> Zmsq_pq.Intf.instance
 
 val zmsq : ?params:Zmsq.Params.t -> unit -> factory
-(** Default ZMSQ (TATAS trylocks, list sets). *)
+(** Default ZMSQ ({!Zmsq.Default}: TATAS trylocks, sorted flat-array
+    sets). *)
+
+val zmsq_list : ?params:Zmsq.Params.t -> unit -> factory
+(** Sorted-list sets ({!Zmsq.List_q}), the paper's literal TNode set: the
+    list side of the list-vs-array curves. *)
 
 val zmsq_array : ?params:Zmsq.Params.t -> unit -> factory
 (** The "(array)" variant. *)
@@ -31,8 +36,8 @@ val klsm : ?k:int -> unit -> factory
 val locked_heap : factory
 
 val by_name : string -> factory
-(** Resolve "zmsq" | "zmsq-array" | "zmsq-leak" | "zmsq-shard" | "mound" |
-    "spraylist" | "multiqueue" | "klsm" | "locked-heap" (CLI use). Raises
-    [Invalid_argument] on unknown names. *)
+(** Resolve "zmsq" | "zmsq-list" | "zmsq-array" | "zmsq-leak" |
+    "zmsq-shard" | "mound" | "spraylist" | "multiqueue" | "klsm" |
+    "locked-heap" (CLI use). Raises [Invalid_argument] on unknown names. *)
 
 val names : string list

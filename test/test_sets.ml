@@ -1,6 +1,6 @@
-(* Direct tests for the TNode set implementations (List_set / Array_set),
-   including property tests that cross-check them against each other and
-   against a sorted-list model. *)
+(* Direct tests for the TNode set implementations (List_set, Sorted_set,
+   Array_set, Lazy_set), including property tests that cross-check them
+   against each other and against a sorted-list model. *)
 
 module Elt = Zmsq_pq.Elt
 
@@ -12,6 +12,7 @@ module type SET = Zmsq.Set_intf.SET
 let impls =
   [
     ("list", (module Zmsq.List_set : SET));
+    ("sorted", (module Zmsq.Sorted_set : SET));
     ("array", (module Zmsq.Array_set : SET));
     ("lazy", (module Zmsq.Lazy_set : SET));
   ]
@@ -150,6 +151,74 @@ let prop_impls_agree =
       reference = run_ops (module Zmsq.Array_set) ops
       && reference = run_ops (module Zmsq.Lazy_set) ops)
 
+(* Differential: Sorted_set is the shipped stand-in for the paper's sorted
+   list, so every value it returns must equal List_set's, including the
+   element order of [take_top] and [split_lower] (the queue hands the
+   [split_lower] elements to the two children alternately by index). Two
+   sets per run exercise [swap_contents]. *)
+type dop =
+  | D_insert of int * int
+  | D_remove_max of int
+  | D_remove_min of int
+  | D_replace_min of int * int
+  | D_take_top of int * int
+  | D_split_lower of int
+  | D_swap
+
+let dop_gen =
+  QCheck.Gen.(
+    let side = int_bound 1 in
+    frequency
+      [
+        (8, map2 (fun i k -> D_insert (i, k)) side (int_bound 200));
+        (2, map (fun i -> D_remove_max i) side);
+        (1, map (fun i -> D_remove_min i) side);
+        (3, map2 (fun i k -> D_replace_min (i, k)) side (int_bound 200));
+        (1, map2 (fun i n -> D_take_top (i, n)) side (int_bound 12));
+        (1, map (fun i -> D_split_lower i) side);
+        (1, return D_swap);
+      ])
+
+let show_dop = function
+  | D_insert (i, k) -> Printf.sprintf "I%d:%d" i k
+  | D_remove_max i -> Printf.sprintf "RMax%d" i
+  | D_remove_min i -> Printf.sprintf "RMin%d" i
+  | D_replace_min (i, k) -> Printf.sprintf "Rep%d:%d" i k
+  | D_take_top (i, n) -> Printf.sprintf "T%d:%d" i n
+  | D_split_lower i -> Printf.sprintf "S%d" i
+  | D_swap -> "Swap"
+
+let run_dops (module S : SET) ops =
+  let sets = [| S.create (); S.create () |] in
+  let out = ref [] in
+  let emit l = out := l :: !out in
+  List.iter
+    (fun op ->
+      (match op with
+      | D_insert (i, k) -> S.insert sets.(i) k
+      | D_remove_max i -> emit [ S.remove_max sets.(i) ]
+      | D_remove_min i -> emit [ S.remove_min sets.(i) ]
+      | D_replace_min (i, k) ->
+          let s = sets.(i) in
+          if (not (S.is_empty s)) && k > S.min_elt s then begin
+            let dropped, new_min = S.replace_min s k in
+            emit [ dropped; new_min ]
+          end
+      | D_take_top (i, n) -> emit (Array.to_list (S.take_top sets.(i) n))
+      | D_split_lower i -> emit (Array.to_list (S.split_lower sets.(i)))
+      | D_swap -> S.swap_contents sets.(0) sets.(1));
+      Array.iter (fun s -> emit [ S.size s; S.max_elt s; S.min_elt s ]) sets)
+    ops;
+  Array.iter (fun s -> emit (List.sort compare (S.to_list s))) sets;
+  List.rev !out
+
+let prop_sorted_matches_list =
+  QCheck.Test.make ~name:"sorted set returns exactly what the list set returns" ~count:500
+    (QCheck.make
+       ~print:(fun l -> String.concat " " (List.map show_dop l))
+       QCheck.Gen.(list_size (0 -- 300) dop_gen))
+    (fun ops -> run_dops (module Zmsq.Sorted_set) ops = run_dops (module Zmsq.List_set) ops)
+
 let prop_replace_min_model (module S : SET) name =
   QCheck.Test.make ~name:(name ^ ": replace_min equals remove_min+insert") ~count:300
     QCheck.(pair (list_of_size Gen.(1 -- 30) (int_bound 500)) (int_range 501 1000))
@@ -185,4 +254,4 @@ let per_impl =
       ])
     impls
 
-let suite = per_impl @ [ qtest prop_impls_agree ]
+let suite = per_impl @ [ qtest prop_impls_agree; qtest prop_sorted_matches_list ]

@@ -88,6 +88,80 @@ let test_rng_invalid () =
   Alcotest.check_raises "exp rate" (Invalid_argument "Rng.exponential: rate must be positive")
     (fun () -> ignore (Rng.exponential rng ~rate:0.0))
 
+(* The first 16 [int64] outputs for three seeds, and for the child of one
+   [split], recorded from the original four-field implementation. Graph
+   generation and every seeded run depend on this stream staying
+   bit-identical. *)
+let rng_golden =
+  [
+    ( 0, false,
+      [|
+        0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+        0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL; 0x6c160deed2f54c98L; 0x8920ad648fc30a3fL;
+        0xdb032c0ba7539731L; 0xeb3a475a3e749a3dL; 0x1d42993fa43f2a54L; 0x11361bf526a14bb5L;
+        0x1b4f07a5ab3d8e9cL; 0xa7a3257f6986db7fL; 0x7efdaa95605dfc9cL; 0x4bde97c0a78eaab8L;
+      |] );
+    ( 0, true,
+      [|
+        0x4c94e4a98a1709ebL; 0x48235b11b4380ed6L; 0x757ef423c8f581ccL; 0x2c24c674801072L;
+        0xd53f70483a2f04fbL; 0x80dc4ed1c28511ceL; 0x246b1ce0f7023790L; 0x2ee31c1a573874ceL;
+        0xeadb36ab158b7dbcL; 0xef60edf5362e8f4bL; 0xdc8796390c6d5dfeL; 0xedc9fa6315e8718cL;
+        0x408e8a6068882ebcL; 0xe540736f3393841dL; 0x19a7b91d080783caL; 0x984f262b5a8c960eL;
+      |] );
+    ( 1, false,
+      [|
+        0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+        0xb27a48e29a233673L; 0x24c123126ffda722L; 0x123004ef8df510e6L; 0x61954dcc47b1e89dL;
+        0xddfdb48ab9ed4a21L; 0x8d3cdb8c3aa5b1d0L; 0xeebd114bd87226d1L; 0xf50c3ff1e7d7e8a6L;
+        0xeeca3115e23bc8f1L; 0xab49ed3db4c66435L; 0x99953c6c57808dd7L; 0xe3fa941b05219325L;
+      |] );
+    ( 1, true,
+      [|
+        0x2c83f301eb3f9c90L; 0x4e876d9fae53f0b8L; 0x516ba84e3a541549L; 0x18a46d9d1df806fcL;
+        0x1bd0300adeab8c41L; 0x7214c066a1fe58a2L; 0x5f0bbff67811c95cL; 0xc91a3e119a09992cL;
+        0x6bba67f2a7dd1830L; 0x8dbe82edc0cfdc6L; 0x5a4555a3ddff2a16L; 0x7d39e681bb2a666eL;
+        0x28f59e9e5db2ce4bL; 0x389d43c223b55979L; 0x6eaa704a0b42ffbbL; 0x9b5ae0dc17c19feaL;
+      |] );
+    ( 0x5DEECE66D, false,
+      [|
+        0xb7bd9587c4150d11L; 0x8f7cb3a60f64dfacL; 0x853abe00b135b441L; 0xff201a48294f358cL;
+        0xcd280305d5338dedL; 0x1cc38fa1b04dd2d7L; 0xdb0d886a11ad4d72L; 0x36316447cbd81d37L;
+        0x33be42a369e2d91bL; 0x31e6af665633f958L; 0x126b6d57cd901420L; 0x6e9eecdd4ad59576L;
+        0x5a69261d323b3f8aL; 0xf630ebdc1dc8a716L; 0xb4706e9954cab6aeL; 0xb6af123220b6231cL;
+      |] );
+    ( 0x5DEECE66D, true,
+      [|
+        0x6e234af248b59c52L; 0xddf49580830d65fdL; 0x46d8b41e7fb42001L; 0x2091c3ed957514b2L;
+        0xff9c964505fb626cL; 0x5d2a9d7bfeec17c4L; 0x98b8c309f234b735L; 0xee4b6c12dbd274b6L;
+        0x7f0279877f78eecaL; 0x5f0b8844b0e21b22L; 0x75764cfdb972b22eL; 0xe302324ecaad2582L;
+        0x64b1aadf13607e82L; 0x9c4926b774935244L; 0xb0b31686ca92e815L; 0xf9698dcefd339635L;
+      |] );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, split, expected) ->
+      let rng = Rng.create ~seed () in
+      let rng = if split then Rng.split rng else rng in
+      Array.iteri
+        (fun i want ->
+          check Alcotest.int64 (Printf.sprintf "seed %#x split=%b draw %d" seed split i) want
+            (Rng.int64 rng))
+        expected)
+    rng_golden
+
+(* A draw must not allocate: the queue draws on every leaf probe. *)
+let test_rng_no_alloc () =
+  let rng = Rng.create ~seed:9 () in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    acc := !acc lxor Rng.bits rng
+  done;
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity !acc);
+  check (Alcotest.float 0.0) "minor words for 10K bits draws" 0.0 (w1 -. w0)
+
 let prop_rng_shuffle_preserves =
   QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
     QCheck.(list small_int)
@@ -208,6 +282,8 @@ let suite =
     ("rng exponential mean", `Quick, test_rng_exponential_mean);
     ("rng permutation", `Quick, test_rng_permutation);
     ("rng invalid args", `Quick, test_rng_invalid);
+    ("rng golden vectors", `Quick, test_rng_golden);
+    ("rng bits allocation-free", `Quick, test_rng_no_alloc);
     qtest prop_rng_shuffle_preserves;
     ("stats summary", `Quick, test_stats_summary);
     ("stats stddev", `Quick, test_stats_stddev);

@@ -125,6 +125,62 @@ let prop_random_ops (module Q : ZQ) name =
       Q.unregister h;
       ok_inv && ok_multi)
 
+(* {2 Set representation does not change the queue's output} *)
+
+(* [Default] keeps each TNode set as a sorted flat array where the paper
+   uses a sorted list. Both return the same values in the same order, so
+   with one handle and a fixed seed the two queues make the same decisions
+   and must extract the same sequence. *)
+let extract_sequence (module Q : ZQ) ~seed ~ops =
+  let q = Q.create ~params:P.(with_seed seed default) () in
+  let h = Q.register q in
+  let rng = Rng.create ~seed () in
+  let out = Buffer.create (4 * ops) in
+  for i = 1 to ops do
+    (* 11/20 inserts: the queue grows, so splits and level expansions
+       happen along with pool refills and swap-downs. *)
+    if Rng.int rng 20 < 11 then Q.insert h (Elt.pack ~priority:(Rng.int rng (1 lsl 20)) ~payload:i)
+    else Buffer.add_string out (string_of_int (Q.extract h) ^ ",")
+  done;
+  let ok = Q.Debug.check_invariant q in
+  Q.unregister h;
+  (Buffer.contents out, ok)
+
+let test_sorted_matches_list () =
+  List.iter
+    (fun seed ->
+      let list_seq, list_ok = extract_sequence (module Zmsq.List_q) ~seed ~ops:120_000 in
+      let sorted_seq, sorted_ok = extract_sequence (module Zmsq.Default) ~seed ~ops:120_000 in
+      check Alcotest.bool "list invariant" true list_ok;
+      check Alcotest.bool "sorted invariant" true sorted_ok;
+      if not (String.equal list_seq sorted_seq) then
+        Alcotest.failf "seed %d: extract sequences differ" seed)
+    [ 1; 0x5EED ]
+
+(* Hot-path allocation budget: single-threaded insert+extract pairs on a
+   64K-element [Default] queue with observability off. Single-threaded
+   counts repeat exactly, so the bound is a count, not a timing. The path
+   allocates about 20 words per pair (hazard-slot options and the pool
+   refill's batch array); a list set, or a closure per probe or per
+   extraction, takes it past 40. *)
+let test_pair_alloc_budget () =
+  let q = Zmsq.Default.create ~params:P.(with_obs Zmsq_obs.Level.Off default) () in
+  let h = Zmsq.Default.register q in
+  let rng = Rng.create ~seed:0xA11C () in
+  let key () = Elt.of_priority (Rng.int rng (1 lsl 20)) in
+  for _ = 1 to 65_536 do
+    Zmsq.Default.insert h (key ())
+  done;
+  let pairs = 50_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to pairs do
+    Zmsq.Default.insert h (key ());
+    ignore (Sys.opaque_identity (Zmsq.Default.extract h))
+  done;
+  let per_pair = (Gc.minor_words () -. w0) /. float_of_int pairs in
+  Zmsq.Default.unregister h;
+  if per_pair > 40.0 then Alcotest.failf "%.1f minor words per pair (budget 40)" per_pair
+
 (* {2 Concurrent stress} *)
 
 let concurrent_multiset (module Q : ZQ) ?(ops_per_thread = 20_000) ~params () =
@@ -164,7 +220,8 @@ let concurrent_buffered =
         `Slow,
         concurrent_multiset (module Q) ~ops_per_thread:12_000 ~params ))
     [
-      ("list trylock", (module Zmsq.Default : ZQ), P.Trylock);
+      ("list trylock", (module Zmsq.List_q : ZQ), P.Trylock);
+      ("sorted trylock", (module Zmsq.Default : ZQ), P.Trylock);
       ("array trylock", (module Zmsq.Array_q : ZQ), P.Trylock);
       ("mutex blocking", (module Zmsq.Mutex_q : ZQ), P.Blocking);
     ]
@@ -1149,17 +1206,24 @@ let suite =
   [
     mk "params validate" test_params_validate;
     mk "params dynamic" test_params_dynamic;
-    mk "strict exact (list)" (strict_exact (module Zmsq.Default));
+    mk "strict exact (list)" (strict_exact (module Zmsq.List_q));
+    mk "strict exact (sorted)" (strict_exact (module Zmsq.Default));
     mk "strict exact (array)" (strict_exact (module Zmsq.Array_q));
     mk "strict exact (lazy)" (strict_exact (module Zmsq.Lazy_q));
     mk "strict exact (mutex lock)" (strict_exact (module Zmsq.Mutex_q));
     mk "strict exact (tas lock)" (strict_exact (module Zmsq.Tas_q));
-    mk "exact emptiness (list)" (exact_emptiness (module Zmsq.Default));
+    mk "exact emptiness (list)" (exact_emptiness (module Zmsq.List_q));
+    mk "exact emptiness (sorted)" (exact_emptiness (module Zmsq.Default));
     mk "exact emptiness (array)" (exact_emptiness (module Zmsq.Array_q));
-    mk "relaxation bound b=4 (list)" (relaxation_bound (module Zmsq.Default) ~batch:4 ~target_len:16);
-    mk "relaxation bound b=16 (list)" (relaxation_bound (module Zmsq.Default) ~batch:16 ~target_len:32);
+    mk "relaxation bound b=4 (list)" (relaxation_bound (module Zmsq.List_q) ~batch:4 ~target_len:16);
+    mk "relaxation bound b=4 (sorted)" (relaxation_bound (module Zmsq.Default) ~batch:4 ~target_len:16);
+    mk "relaxation bound b=16 (list)" (relaxation_bound (module Zmsq.List_q) ~batch:16 ~target_len:32);
+    mk "relaxation bound b=16 (sorted)" (relaxation_bound (module Zmsq.Default) ~batch:16 ~target_len:32);
     mk "relaxation bound b=16 (array)" (relaxation_bound (module Zmsq.Array_q) ~batch:16 ~target_len:32);
-    qtest (prop_random_ops (module Zmsq.Default) "zmsq-list");
+    qtest (prop_random_ops (module Zmsq.List_q) "zmsq-list");
+    qtest (prop_random_ops (module Zmsq.Default) "zmsq-sorted");
+    mk "sorted set extracts what the list set extracts" test_sorted_matches_list;
+    mk "pair allocation budget" test_pair_alloc_budget;
     qtest (prop_random_ops (module Zmsq.Array_q) "zmsq-array");
     qtest (prop_random_ops (module Zmsq.Lazy_q) "zmsq-lazy");
     ("concurrent multiset (array)", `Slow,
